@@ -20,6 +20,7 @@ from repro.balancer.policy import (
     server_loads,
 )
 from repro.observability.events import BalancerRunEvent
+from repro.observability.metrics import Counter, Gauge, collected
 
 #: Decision rows kept for ``sys.balancer``.
 HISTORY_CAPACITY = 256
@@ -36,6 +37,8 @@ class Balancer:
         self.moves = 0
         self.splits = 0
         self.merges = 0
+        #: Imbalance left by the last run.
+        self.imbalance = 0.0
         #: ``sys.balancer`` rows: one per decision, newest last.
         self.history: deque[dict] = deque(maxlen=history_capacity)
         self._last_run_ms = float("-inf")
@@ -87,14 +90,7 @@ class Balancer:
         self.splits += splits
         self.merges += merges
         imbalance_after = imbalance(server_loads(store, now_ms), policy)
-        registry = getattr(store.stats, "metrics", None)
-        if registry is not None:
-            registry.counter("balancer.runs").inc()
-            registry.counter("balancer.moves").inc(moves)
-            registry.counter("balancer.splits").inc(splits)
-            registry.counter("balancer.merges").inc(merges)
-            registry.gauge("balancer.imbalance").set(
-                round(imbalance_after, 6))
+        self.imbalance = round(imbalance_after, 6)
         event = BalancerRunEvent(
             run=run, moves=moves, splits=splits, merges=merges,
             imbalance_before=round(imbalance_before, 3),
@@ -142,6 +138,12 @@ class Balancer:
             "reason": reason})
 
     # -- introspection -------------------------------------------------------
+    def metric_series(self):
+        """``balancer.*`` registry series, read from the run counters."""
+        for name in ("runs", "moves", "splits", "merges"):
+            yield collected(Counter, f"balancer.{name}", getattr(self, name))
+        yield collected(Gauge, "balancer.imbalance", self.imbalance)
+
     def history_rows(self) -> list[dict]:
         """``sys.balancer`` rows, oldest first."""
         return list(self.history)

@@ -85,8 +85,9 @@ class JustEngine:
                  replication_factor: int = 1,
                  read_mode: str = "primary",
                  vectorized: bool = True):
-        #: Process-wide observability registry: the store's I/O stats,
-        #: the SQL operators, and the service layer all report into it.
+        #: Process-wide observability registry: SQL operators and the
+        #: service layer push into it; it reads the counters of the
+        #: components the engine owns (:meth:`_collect_metrics`).
         from repro.observability.events import EventLog
         from repro.observability.metrics import MetricsRegistry
         self.metrics = MetricsRegistry()
@@ -151,6 +152,16 @@ class JustEngine:
         self.system_tables: dict[str, object] = {}
         from repro.core.systables import install_system_tables
         install_system_tables(self)
+        self.metrics.register_collector(self._collect_metrics)
+
+    def _collect_metrics(self):
+        """Every engine-owned counter as a registry series: the store's
+        (and its replication's), the balancer's, each stream loader's."""
+        yield from self.store.metric_series()
+        if self.balancer is not None:
+            yield from self.balancer.metric_series()
+        for loader in self._stream_loaders:
+            yield from loader.metric_series()
 
     # -- load balancing ----------------------------------------------------------
     def enable_balancer(self, policy=None):

@@ -58,16 +58,20 @@ class IOSnapshot:
         )
 
 
+#: IOStats' scalar counters, also exposed as the ``kvstore.*`` series.
+COUNTERS = tuple(name for name in IOSnapshot.__dataclass_fields__
+                 if not name.startswith("per_server_"))
+
+
 class IOStats:
     """Mutable counters shared by every component of one store.
 
-    ``bind_metrics`` additionally mirrors every increment into a
-    process-wide :class:`~repro.observability.metrics.MetricsRegistry`,
-    so the store's I/O shows up on the ``/metrics`` endpoint alongside
-    the service-layer counters without a second accounting path.
+    These are the store's only I/O counters: the metrics registry reads
+    them as ``kvstore.*`` series (:meth:`KVStore.metric_series`) instead
+    of receiving a copy of each increment.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self.disk_bytes_read = 0
         self.disk_bytes_written = 0
         self.cache_bytes_read = 0
@@ -83,62 +87,39 @@ class IOStats:
         self.per_server_read: dict[int, int] = defaultdict(int)
         #: WAL bytes (appends + replay reads) per region server.
         self.per_server_wal: dict[int, int] = defaultdict(int)
-        self.metrics = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror counters into a metrics registry from now on."""
-        self.metrics = registry
-
-    def _inc(self, name: str, amount: int) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     def record_disk_read(self, nbytes: int, server: int = 0) -> None:
         self.disk_bytes_read += nbytes
         self.blocks_read += 1
         self.per_server_read[server] += nbytes
-        self._inc("kvstore.disk_bytes_read", nbytes)
-        self._inc("kvstore.blocks_read", 1)
 
     def record_cache_read(self, nbytes: int) -> None:
         self.cache_bytes_read += nbytes
         self.cache_hits += 1
-        self._inc("kvstore.cache_bytes_read", nbytes)
-        self._inc("kvstore.cache_hits", 1)
 
     def record_disk_write(self, nbytes: int) -> None:
         self.disk_bytes_written += nbytes
-        self._inc("kvstore.disk_bytes_written", nbytes)
 
     def record_memstore_read(self, nbytes: int) -> None:
         self.memstore_bytes_read += nbytes
-        self._inc("kvstore.memstore_bytes_read", nbytes)
 
     def record_result(self, nbytes: int) -> None:
         self.result_bytes += nbytes
-        self._inc("kvstore.result_bytes", nbytes)
 
     def record_scan(self) -> None:
         self.scans_started += 1
-        self._inc("kvstore.scans_started", 1)
 
     def record_wal_append(self, nbytes: int, server: int = 0) -> None:
         self.wal_bytes_written += nbytes
         self.wal_appends += 1
         self.per_server_wal[server] += nbytes
-        self._inc("kvstore.wal_bytes_written", nbytes)
-        self._inc("kvstore.wal_appends", 1)
 
     def record_wal_sync(self) -> None:
         self.wal_syncs += 1
-        self._inc("kvstore.wal_syncs", 1)
 
     def record_wal_replay(self, nbytes: int, server: int = 0) -> None:
         self.wal_bytes_replayed += nbytes
         self.per_server_wal[server] += nbytes
-        self._inc("kvstore.wal_bytes_replayed", nbytes)
 
     def snapshot(self) -> IOSnapshot:
         return IOSnapshot(
@@ -157,6 +138,3 @@ class IOStats:
             per_server_read=dict(self.per_server_read),
             per_server_wal=dict(self.per_server_wal),
         )
-
-    def reset(self) -> None:
-        self.__init__(metrics=self.metrics)

@@ -12,7 +12,7 @@ from repro.errors import (
     TableNotFoundError,
 )
 from repro.kvstore.blockcache import BlockCache
-from repro.kvstore.iostats import IOStats
+from repro.kvstore.iostats import COUNTERS, IOStats
 from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.region import DEFAULT_FLUSH_BYTES, Region
 from repro.kvstore.scan import DEFAULT_BATCH_ROWS, ScanSpec, chunk_pairs
@@ -28,6 +28,7 @@ from repro.observability.events import (
     RegionMovedEvent,
     SplitEvent,
 )
+from repro.observability.metrics import Counter, Gauge, collected
 
 #: Split a region once its data exceeds this many bytes.
 DEFAULT_SPLIT_BYTES = 4 * 1024 * 1024
@@ -518,7 +519,10 @@ class KVStore:
         self.flush_bytes = flush_bytes
         self.split_bytes = split_bytes
         self.block_bytes = block_bytes
-        self.stats = IOStats(metrics=metrics)
+        self.stats = IOStats()
+        #: Registry for the histograms store components observe; their
+        #: counters are read from ``stats`` (see :meth:`metric_series`).
+        self.metrics = metrics
         #: Cluster event log; always present so regions, recovery, and
         #: the service layer can emit unconditionally.
         self.events = events if events is not None else EventLog()
@@ -585,6 +589,20 @@ class KVStore:
         """Drop every block cache (benchmarks do this between queries)."""
         for cache in self._caches:
             cache.clear()
+
+    def metric_series(self):
+        """``kvstore.*`` (and ``replication.*``) registry series; the
+        cache hit ratio is derived from ``stats`` at every read."""
+        stats = self.stats
+        for name in COUNTERS:
+            yield collected(Counter, f"kvstore.{name}", getattr(stats, name))
+        touched = stats.cache_hits + stats.blocks_read
+        yield collected(Gauge, "kvstore.cache_hit_ratio",
+                        stats.cache_hits / touched if touched else 0.0)
+        yield collected(Gauge, "kvstore.cache_used_bytes",
+                        sum(cache.used_bytes for cache in self._caches))
+        if self.replication is not None:
+            yield from self.replication.metric_series()
 
     # -- replication -----------------------------------------------------------
     def enable_replication(self, factor: int = 3, read_mode="primary",

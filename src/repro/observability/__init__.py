@@ -5,9 +5,10 @@ The paper evaluates JUST through per-query latency and I/O breakdowns
 instrumentation a production HBase/Spark deployment would have:
 
 * :class:`~repro.observability.metrics.MetricsRegistry` — process-wide
-  counters, gauges, and quantile histograms that the key-value store,
-  the SQL physical operators, the admission controller, and the circuit
-  breaker all report into (the Prometheus-registry role).
+  counters, gauges, and quantile histograms: the SQL physical operators
+  and the circuit breaker report into it, and it reads the key-value
+  store's and the admission controller's own counters at every read
+  (the Prometheus-registry role).
 * :class:`~repro.observability.profile.QueryProfile` — per-statement
   trace spans (service → SQL operator → region scan) carried on the
   :class:`~repro.resilience.RequestContext`, the OpenTelemetry-trace

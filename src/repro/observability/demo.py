@@ -127,7 +127,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     print(format_result(result), file=out)
 
     print("\n== /metrics (registry dump) ==", file=out)
-    server.metrics_snapshot()  # refresh derived gauges
     print(server.metrics.render_text(), file=out)
 
     print("\n== slow-query log (threshold "

@@ -217,18 +217,29 @@ class Histogram:
         return out
 
 
+def collected(kind: type, name: str, value, **labels) -> Counter | Gauge:
+    """One collector reading: a detached ``Counter``/``Gauge`` holding
+    ``value`` under the flattened ``name`` + ``labels`` key."""
+    metric = kind(_metric_key(name, labels))
+    metric.value = value
+    return metric
+
+
 class MetricsRegistry:
     """Named metrics, created on first use and shared by name.
 
-    One registry serves a whole deployment (engine + store + service):
-    components hold the registry and call :meth:`counter` /
-    :meth:`gauge` / :meth:`histogram`, which return the same object for
-    the same name + labels, exactly like a Prometheus client registry.
+    One registry serves a whole deployment (engine + store + service),
+    and counts every event once.  Components without a counter of their
+    own call :meth:`counter` / :meth:`gauge` / :meth:`histogram`, which
+    return the same object for the same name + labels, exactly like a
+    Prometheus client registry; components that keep one are read
+    through :meth:`register_collector` instead.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._help: dict[str, str] = {}
+        self._collectors: list = []
 
     def _get(self, name: str, labels: dict, cls, **kwargs):
         key = _metric_key(name, labels)
@@ -253,6 +264,20 @@ class MetricsRegistry:
         """Get-or-create; ``buckets`` applies only on first creation."""
         return self._get(name, labels, Histogram, buckets=buckets)
 
+    def register_collector(self, collect) -> None:
+        """Read ``collect()`` — :func:`collected` readings — at every
+        read of the registry (:meth:`items`, :meth:`snapshot`,
+        :meth:`render_text`), from registration on."""
+        self._collectors.append(collect)
+
+    def _all(self) -> dict[str, Counter | Gauge | Histogram]:
+        """Pushed metrics plus every collector's current readings."""
+        metrics = dict(self._metrics)
+        for collect in self._collectors:
+            for metric in collect():
+                metrics[metric.name] = metric
+        return metrics
+
     def describe(self, name: str, help_text: str) -> None:
         """Attach a ``# HELP`` line to a metric *base* name (no labels)."""
         self._help[name] = help_text
@@ -261,21 +286,19 @@ class MetricsRegistry:
         return self._help.get(name)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._metrics
+        return key in self._all()
 
     def items(self) -> list[tuple[str, Counter | Gauge | Histogram]]:
         """(flattened key, metric) pairs, sorted by key."""
-        return [(key, self._metrics[key])
-                for key in sorted(self._metrics)]
+        return sorted(self._all().items())
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._all())
 
     def snapshot(self) -> dict:
         """Every metric as JSON-safe data, keyed by flattened name."""
         out = {}
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
+        for key, metric in self.items():
             if isinstance(metric, Histogram):
                 out[key] = metric.as_dict()
             else:
@@ -294,8 +317,7 @@ class MetricsRegistry:
         """
         lines: list[str] = []
         described: set[str] = set()
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
+        for key, metric in self.items():
             base, brace, labels = key.partition("{")
             labelpart = brace + labels
             if base not in described:

@@ -40,6 +40,7 @@ from repro.observability.events import (
     AdmissionShedEvent,
     BreakerTripEvent,
 )
+from repro.observability.metrics import Counter, Gauge, collected
 
 
 # -- deadlines ----------------------------------------------------------------
@@ -231,12 +232,7 @@ class AdmissionController:
         self.admitted = 0
         self.shed = 0
         self.peak_in_flight = 0
-        self.metrics = None
         self.events = None
-
-    def bind_metrics(self, registry) -> None:
-        """Report admissions/sheds/in-flight into a metrics registry."""
-        self.metrics = registry
 
     def bind_events(self, log) -> None:
         """Emit an :class:`AdmissionShedEvent` per shed into ``log``."""
@@ -252,8 +248,6 @@ class AdmissionController:
 
     def _shed(self, scope: str, count: int, limit: int):
         self.shed += 1
-        if self.metrics is not None:
-            self.metrics.counter("admission.shed").inc()
         if self.events is not None:
             self.events.emit(AdmissionShedEvent(scope=scope, count=count,
                                                 limit=limit))
@@ -294,10 +288,6 @@ class AdmissionController:
             self.admitted += 1
             self.peak_in_flight = max(self.peak_in_flight,
                                       self._in_flight)
-            if self.metrics is not None:
-                self.metrics.counter("admission.admitted").inc()
-                self.metrics.gauge("admission.in_flight").set(
-                    self._in_flight)
 
     def release(self, user: str) -> None:
         with self._cond:
@@ -307,10 +297,13 @@ class AdmissionController:
                 self._per_user.pop(user, None)
             else:
                 self._per_user[user] = count
-            if self.metrics is not None:
-                self.metrics.gauge("admission.in_flight").set(
-                    self._in_flight)
             self._cond.notify()
+
+    def metric_series(self):
+        """``admission.*`` registry series, read from the counters."""
+        yield collected(Counter, "admission.admitted", self.admitted)
+        yield collected(Counter, "admission.shed", self.shed)
+        yield collected(Gauge, "admission.in_flight", self._in_flight)
 
     def stats(self) -> dict:
         with self._cond:

@@ -7,7 +7,11 @@ from collections import deque
 from repro.core.engine import JustEngine
 from repro.core.systables import SYSTEM_TABLE_SPECS
 from repro.observability.events import SessionExpiredEvent
-from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS_MS
+from repro.observability.metrics import (
+    DEFAULT_LATENCY_BUCKETS_MS,
+    Gauge,
+    collected,
+)
 from repro.observability.profile import QueryProfile
 from repro.observability.slowlog import DEFAULT_SLOW_MS, SlowQueryLog
 from repro.resilience import AdmissionController, Deadline, RequestContext
@@ -52,10 +56,8 @@ class JustServer:
         #: Server-side deadline applied when the client sends none
         #: (``None`` disables; like ``hbase.client.operation.timeout``).
         self.default_timeout_ms = default_timeout_ms
-        #: Process-wide registry shared with the engine and the store;
-        #: the admission controller reports into it too.
+        #: Process-wide registry shared with the engine and the store.
         self.metrics = self.engine.metrics
-        self.admission.bind_metrics(self.metrics)
         # Create the statement histogram bucketed up front: cumulative
         # le-buckets are what make windowed latency SLOs exact, and
         # buckets only apply on first creation.
@@ -72,6 +74,8 @@ class JustServer:
         #: Statements slower than ``slow_query_ms`` simulated ms land
         #: here with their trace (``None`` disables the log).
         self.slow_query_log = SlowQueryLog(threshold_ms=slow_query_ms)
+        # The registry reads admission control and the slow-query log.
+        self.metrics.register_collector(self._collect_metrics)
         self._profiles: deque[QueryProfile] = deque(maxlen=profile_capacity)
         # The engine installs sys.sessions / sys.slow_queries with empty
         # providers; the server owns the live state, so rebind them here.
@@ -193,23 +197,14 @@ class JustServer:
 
     # -- observability -------------------------------------------------------
     def metrics_snapshot(self) -> dict:
-        """JSON-safe dump of every metric, with derived gauges refreshed.
-
-        The block-cache hit ratio is derived at read time from the
-        store's authoritative counters (hits over touched blocks), so it
-        stays correct across flush/compact cycles instead of drifting as
-        a sampled value would.
-        """
-        stats = self.engine.store.stats
-        touched = stats.cache_hits + stats.blocks_read
-        ratio = stats.cache_hits / touched if touched else 0.0
-        self.metrics.gauge("kvstore.cache_hit_ratio").set(ratio)
-        used = sum(self.engine.store.cache_for(s).used_bytes
-                   for s in range(self.engine.store.num_servers))
-        self.metrics.gauge("kvstore.cache_used_bytes").set(used)
-        self.metrics.gauge("server.slow_queries_logged").set(
-            self.slow_query_log.total_logged)
+        """JSON-safe dump of every metric (the ``/metrics`` payload)."""
         return self.metrics.snapshot()
+
+    def _collect_metrics(self):
+        """The server-owned counters, read at every registry read."""
+        yield from self.admission.metric_series()
+        yield collected(Gauge, "server.slow_queries_logged",
+                        self.slow_query_log.total_logged)
 
     def recent_profiles(self, limit: int | None = None) -> list[QueryProfile]:
         """Most recent statement traces, newest last."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.loader import apply_config
 from repro.errors import ExecutionError
+from repro.observability.metrics import Counter, Gauge, collected
 
 #: SimJob CPU cost of evaluating the row filter per consumed event.
 FILTER_CPU_US = 0.5
@@ -180,59 +181,12 @@ class StreamLoader:
         self.offset += len(events)
         self.total_loaded += len(rows)
         self.total_dropped += dropped
-        late_before = sum(a.late_dropped for a, _ in self._windows)
-        refresh_before = sum(v.total_refresh_ms
-                             for _, v in self._windows if v is not None)
         emitted, alerts = self._run_pipeline(kept, job)
         self.polls += 1
         self.total_sim_ms += job.elapsed_ms
-        self._observe_poll(len(events), len(rows), dropped, emitted,
-                           alerts, late_before, refresh_before,
-                           job.elapsed_ms)
         return {"consumed": len(events), "loaded": len(rows),
                 "dropped": dropped, "emitted": emitted, "alerts": alerts,
                 "sim_ms": job.elapsed_ms}
-
-    def _observe_poll(self, consumed: int, loaded: int, dropped: int,
-                      emitted: int, alerts: int, late_before: int,
-                      refresh_before: float, sim_ms: float) -> None:
-        """Report one poll into the engine's metrics registry."""
-        registry = getattr(self.engine, "metrics", None)
-        if registry is None:
-            return
-        name = self.name
-        registry.counter("streaming.polls", loader=name).inc()
-        registry.counter("streaming.events_consumed",
-                         loader=name).inc(consumed)
-        registry.counter("streaming.rows_loaded", loader=name).inc(loaded)
-        if dropped:
-            registry.counter("streaming.events_dropped",
-                             loader=name).inc(dropped)
-        if emitted:
-            registry.counter("streaming.windows_emitted",
-                             loader=name).inc(emitted)
-        if alerts:
-            registry.counter("streaming.alerts", loader=name).inc(alerts)
-        late_delta = (sum(a.late_dropped for a, _ in self._windows)
-                      - late_before)
-        if late_delta:
-            registry.counter("streaming.late_events",
-                             loader=name).inc(late_delta)
-        refresh_delta = (sum(v.total_refresh_ms for _, v in self._windows
-                             if v is not None) - refresh_before)
-        if refresh_delta:
-            registry.counter("streaming.view_refresh_ms",
-                             loader=name).inc(refresh_delta)
-        registry.counter("streaming.poll_sim_ms",
-                         loader=name).inc(sim_ms)
-        registry.gauge("streaming.lag", loader=name).set(self.lag)
-        watermark = self.watermark.watermark
-        if watermark is not None:
-            registry.gauge("streaming.watermark", loader=name).set(
-                watermark)
-            registry.gauge("streaming.watermark_delay_s",
-                           loader=name).set(
-                self.watermark.max_event_time - watermark)
 
     def _run_pipeline(self, kept, job) -> tuple[int, int]:
         """Advance the watermark, windows, views, and alerters by one batch.
@@ -292,6 +246,34 @@ class StreamLoader:
         return {"emitted": emitted, "sim_ms": job.elapsed_ms}
 
     # -- introspection ------------------------------------------------------
+
+    def metric_series(self):
+        """``streaming.*{loader=...}`` registry series, read from the
+        same totals :meth:`stats_row` reports in ``sys.streams``."""
+        name = self.name
+        counters = {
+            "polls": self.polls,
+            "events_consumed": self.total_loaded + self.total_dropped,
+            "rows_loaded": self.total_loaded,
+            "events_dropped": self.total_dropped,
+            "windows_emitted": sum(a.emitted_rows for a, _ in self._windows),
+            "alerts": sum(a.total_alerts for a in self._alerters),
+            "late_events": sum(a.late_dropped for a, _ in self._windows),
+            "view_refresh_ms": sum(v.total_refresh_ms
+                                   for _, v in self._windows
+                                   if v is not None),
+            "poll_sim_ms": self.total_sim_ms,
+        }
+        for key, value in counters.items():
+            yield collected(Counter, f"streaming.{key}", value, loader=name)
+        yield collected(Gauge, "streaming.lag", self.lag, loader=name)
+        watermark = self.watermark.watermark
+        if watermark is not None:
+            yield collected(Gauge, "streaming.watermark", watermark,
+                            loader=name)
+            yield collected(Gauge, "streaming.watermark_delay_s",
+                            self.watermark.max_event_time - watermark,
+                            loader=name)
 
     def stats_row(self) -> dict:
         """One ``sys.streams`` row: offsets, watermark, operator stats."""
