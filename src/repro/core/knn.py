@@ -42,10 +42,15 @@ def knn_query(table, lng: float, lat: float, k: int,
 
     Distances are planar (degree-space) Euclidean, as in the paper.
     ``search_area`` defaults to the table's observed data envelope
-    (falling back to the world) and bounds the expansion.
+    (falling back to the world) and bounds the expansion.  Without one,
+    ``k`` at or above the table's row count asks for every row: one
+    full scan and a distance sort answer it instead of an expansion
+    down to ``g``-sized cells across the whole envelope.
     """
     if k <= 0:
         raise ExecutionError("k must be positive")
+    if search_area is None and k >= table.row_count:
+        return _every_row_by_distance(table, lng, lat, job)
     if search_area is None:
         search_area = table.data_envelope or Envelope.world()
         # Grow slightly so boundary records are not clipped away.
@@ -100,3 +105,16 @@ def knn_query(table, lng: float, lat: float, k: int,
         areas_queried=areas_queried,
         areas_pruned=areas_pruned,
     )
+
+
+def _every_row_by_distance(table, lng: float, lat: float,
+                           job: SimJob | None) -> KNNResult:
+    scored = []
+    for row in table.full_scan(job):
+        env = table.record_envelope(row)
+        if env is not None:  # no geometry: no index finds it either
+            scored.append((euclidean_distance(lng, lat, *env.center), row))
+    scored.sort(key=lambda item: item[0])
+    return KNNResult(rows=[row for _d, row in scored],
+                     distances=[d for d, _row in scored],
+                     areas_queried=0, areas_pruned=0)

@@ -29,6 +29,12 @@ from repro.kvstore.scan import ScanSpec
 from repro.kvstore.store import KVStore
 
 
+def _spec_of(ranges: list[KeyRange]) -> ScanSpec:
+    """One store scan over inclusive index key ranges (the strategies
+    emit them ascending and disjoint)."""
+    return ScanSpec.multi((r.start, r.end + b"\x00") for r in ranges)
+
+
 class CommonTable:
     """A stored table with one or more spatio-temporal indexes."""
 
@@ -243,11 +249,9 @@ class CommonTable:
         table = self._index_tables[strategy_name]
         before = self.store.stats.snapshot()
         scanned = 0
-        for key_range in ranges:
-            for _key, payload in table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx):
-                scanned += 1
-                yield self.codec.decode_row(payload)
+        for _key, payload in table.scan(_spec_of(ranges), ctx):
+            scanned += 1
+            yield self.codec.decode_row(payload)
         if job is not None:
             delta = self.store.stats.snapshot().delta(before)
             job.charge_store_scan(delta, num_ranges=len(ranges))
@@ -275,14 +279,8 @@ class CommonTable:
         decode = self.codec.decode_row
         scanned = 0
         batches = 0
-
-        def pairs():
-            for key_range in ranges:
-                yield from table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx)
-
         try:
-            for kv_batch in chunk_pairs(pairs(),
+            for kv_batch in chunk_pairs(table.scan(_spec_of(ranges), ctx),
                                         batch_rows or DEFAULT_BATCH_ROWS):
                 scanned += len(kv_batch)
                 batches += 1
@@ -398,11 +396,8 @@ class CommonTable:
         table = self._attr_tables[field_name]
         before = self.store.stats.snapshot()
         rows = []
-        for key_range in ranges:
-            for _key, payload in table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx):
-                rows.append(self.decorate_row(
-                    self.codec.decode_row(payload)))
+        for _key, payload in table.scan(_spec_of(ranges), ctx):
+            rows.append(self.decorate_row(self.codec.decode_row(payload)))
         if job is not None:
             delta = self.store.stats.snapshot().delta(before)
             job.charge_store_scan(delta, num_ranges=len(ranges))

@@ -109,14 +109,68 @@ def _decompose(bits: int, q_lo: tuple[int, ...], q_hi: tuple[int, ...],
     return _merge_ranges(ranges)
 
 
+def _decompose2(bits: int, x_lo: int, y_lo: int, x_hi: int, y_hi: int,
+                max_ranges: int, max_recurse: int) -> list[tuple[int, int]]:
+    """:func:`_decompose` for two dimensions, on plain ints.
+
+    The quad-tree is walked one level at a time, which is the same
+    breadth-first order: ``cells`` holds a level's cells as flat
+    ``x, y, z`` triples, where ``z`` is the cell's Z prefix, so a
+    child's prefix is ``z * 4 + offset`` and no cell is interleaved
+    from scratch.  Children are queued in the generic walk's order —
+    offsets ``(x, y)`` = (0, 0), (0, 1), (1, 0), (1, 1) — and
+    ``queued`` counts what the generic queue would hold, so the range
+    budget test, and therefore the output, is identical.
+    """
+    depth_limit = min(bits, _common_prefix_level(bits, (x_lo, y_lo),
+                                                 (x_hi, y_hi))
+                      + max_recurse)
+    ranges: list[tuple[int, int]] = []
+    cells = [0, 0, 0]
+    level = 0
+    while cells:
+        shift = bits - level
+        last = (1 << shift) - 1  # a cell spans [c << shift, + last]
+        z_shift = 2 * shift
+        z_last = (1 << z_shift) - 1
+        split = level < depth_limit
+        children: list[int] = []
+        queued = len(cells) // 3
+        for i in range(0, len(cells), 3):
+            queued -= 1
+            x0 = cells[i] << shift
+            x1 = x0 + last
+            if x0 > x_hi or x1 < x_lo:
+                continue
+            y0 = cells[i + 1] << shift
+            y1 = y0 + last
+            if y0 > y_hi or y1 < y_lo:
+                continue
+            if split and max_ranges - len(ranges) - queued > 0 and not (
+                    x0 >= x_lo and x1 <= x_hi
+                    and y0 >= y_lo and y1 <= y_hi):
+                x = cells[i] * 2
+                y = cells[i + 1] * 2
+                z = cells[i + 2] * 4
+                children += (x, y, z, x, y + 1, z + 2,
+                             x + 1, y, z + 1, x + 1, y + 1, z + 3)
+                queued += 4
+            else:
+                z = cells[i + 2] << z_shift
+                ranges.append((z, z + z_last))
+        cells = children
+        level += 1
+    return _merge_ranges(ranges)
+
+
 def z2_ranges(x_lo: int, y_lo: int, x_hi: int, y_hi: int,
               bits: int = 31,
               max_ranges: int = DEFAULT_MAX_RANGES,
               max_recurse: int = DEFAULT_MAX_RECURSE_2D
               ) -> list[tuple[int, int]]:
     """Covering Z2 ranges for an integer cell box (inclusive bounds)."""
-    return _decompose(bits, (x_lo, y_lo), (x_hi, y_hi), max_ranges,
-                      max_recurse)
+    return _decompose2(bits, x_lo, y_lo, x_hi, y_hi, max_ranges,
+                       max_recurse)
 
 
 def z3_ranges(x_lo: int, y_lo: int, t_lo: int,

@@ -121,6 +121,13 @@ class IOStats:
         self.wal_bytes_replayed += nbytes
         self.per_server_wal[server] += nbytes
 
+    def read_mark(self) -> tuple[int, int, int, int]:
+        """``(blocks_read, cache_hits, disk_bytes_read, memory bytes
+        read)`` — the read counters a trace span needs, without the cost
+        of a full :meth:`snapshot`."""
+        return (self.blocks_read, self.cache_hits, self.disk_bytes_read,
+                self.cache_bytes_read + self.memstore_bytes_read)
+
     def snapshot(self) -> IOSnapshot:
         return IOSnapshot(
             disk_bytes_read=self.disk_bytes_read,

@@ -18,7 +18,8 @@ class MemStore:
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes | None] = {}
-        self._sorted_keys: list[bytes] = []
+        #: Every key (tombstones included), sorted.
+        self.keys: list[bytes] = []
         self.size_bytes = 0
 
     def put(self, key: bytes, value: bytes | None) -> None:
@@ -27,7 +28,7 @@ class MemStore:
             old = self._data[key]
             self.size_bytes -= len(key) + (len(old) if old is not None else 0)
         else:
-            insort(self._sorted_keys, key)
+            insort(self.keys, key)
         self._data[key] = value
         self.size_bytes += len(key) + (len(value) if value is not None else 0)
 
@@ -37,24 +38,30 @@ class MemStore:
             return True, self._data[key]
         return False, None
 
+    def entries(self, i: int, j: int):
+        """Yield ``(key, value_or_tombstone)`` for key indexes [i, j)."""
+        keys = self.keys
+        data = self._data
+        for n in range(i, j):
+            key = keys[n]
+            yield key, data[key]
+
     def scan(self, start: bytes, stop: bytes | None):
         """Yield ``(key, value_or_tombstone)`` for keys in [start, stop);
         ``stop=None`` is unbounded above."""
-        lo = bisect_left(self._sorted_keys, start)
-        hi = len(self._sorted_keys) if stop is None \
-            else bisect_left(self._sorted_keys, stop)
-        for i in range(lo, hi):
-            key = self._sorted_keys[i]
-            yield key, self._data[key]
+        lo = bisect_left(self.keys, start)
+        hi = len(self.keys) if stop is None \
+            else bisect_left(self.keys, stop, lo)
+        return self.entries(lo, hi)
 
     def items_sorted(self):
         """All entries in key order (used by flush)."""
-        for key in self._sorted_keys:
+        for key in self.keys:
             yield key, self._data[key]
 
     def clear(self) -> None:
         self._data.clear()
-        self._sorted_keys.clear()
+        self.keys.clear()
         self.size_bytes = 0
 
     def __len__(self) -> int:

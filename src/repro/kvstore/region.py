@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
@@ -84,10 +85,11 @@ class Region:
     def _now_ms(self) -> float:
         return self.events.now_ms if self.events is not None else 0.0
 
-    def record_read(self) -> None:
-        """Count one read visit (a get, or one scan touching the region)."""
-        self.reads += 1
-        self.read_rate.record(self._now_ms())
+    def record_read(self, n: int = 1) -> None:
+        """Count ``n`` read visits (a get, or each key range of a scan
+        touching the region; a scan records its visits once per pass)."""
+        self.reads += n
+        self.read_rate.record(self._now_ms(), n)
 
     def record_write(self) -> None:
         self.writes += 1
@@ -230,41 +232,96 @@ class Region:
 
     def scan(self, start: bytes, stop: bytes | None,
              cache: BlockCache | None, ctx=None, replica=None):
-        """Yield live ``(key, value)`` pairs in [start, stop), key-sorted.
+        """Live ``(key, value)`` pairs in [start, stop), key-sorted.
 
-        ``stop=None`` means unbounded above.  The merge is streaming: a
-        ``heapq.merge`` over the SSTable runs and the memstore, with
-        newest-wins precedence per key, so memory stays bounded by the
-        merge frontier, SSTable blocks are only charged as the merge
-        reaches them (an early ``LIMIT`` or cancellation stops paying
-        for blocks it never needed), and the deadline is checked every
-        ``CANCEL_CHECK_ROWS`` *merged* entries — a cancelled query
-        aborts mid-merge instead of after materializing the region.
+        ``stop=None`` means unbounded above.  See :meth:`runs` and
+        :meth:`read`, which a table's multi-range pass calls directly.
         """
-        lo = max(start, self.start_key)
-        if stop is None:
-            hi = self.end_key
-        elif self.end_key is None:
+        return self.read(self.runs(start, stop, replica), cache, ctx,
+                         replica)
+
+    def runs(self, start: bytes, stop: bytes | None, replica=None,
+             cursors: dict | None = None) -> list:
+        """The sources holding keys of [start, stop) in this region.
+
+        Returns ``(rank, source, i, j)`` for each source — each SSTable
+        run (ranks count up from the newest run) and the memstore (rank
+        0, newest) — whose keys ``[i, j)`` fall in the range; sources
+        with none are left out.  Charges nothing.
+
+        ``cursors`` carries a pass over ascending ranges from one call
+        to the next: per region (keyed by the memstore read), the index
+        of each source's first key past the previous range, and the
+        smallest of those keys.  Searches then only move forward, and a
+        range that ends before that smallest key costs one comparison.
+        The table must not change while a pass is open.
+        """
+        lo = start if start > self.start_key else self.start_key
+        hi = self.end_key
+        if stop is not None and (hi is None or stop < hi):
             hi = stop
-        else:
-            hi = min(stop, self.end_key)
         if hi is not None and hi <= lo:
-            return
-        # Rank 0 is the memstore (newest); SSTables count up from the
-        # newest run.  Streams yield (key, rank, value): merge order is
-        # (key, rank), so for equal keys the newest version comes first
-        # and later (older) versions are skipped.  Ranks are unique per
-        # stream, so tuple comparison never reaches the values.
+            return []
         memstore = self.memstore if replica is None else replica.memstore
+        cursor = None if cursors is None else cursors.get(memstore)
+        if cursor is None:
+            # [smallest key at a position (b"": unknown), positions...]
+            cursor = [b""] + [0] * (len(self.sstables) + 1)
+            if cursors is not None:
+                cursors[memstore] = cursor
+        following = cursor[0]
+        if following is None or (hi is not None and following >= hi):
+            return []
+        found = []
+        following = None
+        rank = len(self.sstables)
+        for n, source in enumerate(self.sstables + [memstore], 1):
+            keys = source.keys
+            end = len(keys)
+            i = cursor[n]
+            if i < end and (hi is None or keys[i] < hi):
+                i = bisect_left(keys, lo, i)
+                if i < end and (hi is None or keys[i] < hi):
+                    j = end if hi is None else bisect_left(keys, hi, i)
+                    found.append((rank, source, i, j))
+                    i = j
+                cursor[n] = i
+            if i < end and (following is None or keys[i] < following):
+                following = keys[i]
+            rank -= 1
+        cursor[0] = following
+        return found
+
+    def read(self, runs: list, cache: BlockCache | None, ctx=None,
+             replica=None):
+        """Yield the live pairs of ``runs`` (from :meth:`runs`).
+
+        One source streams directly; two or more go through a
+        ``heapq.merge`` with newest-wins precedence per key.  Memory
+        stays bounded by the merge frontier, SSTable blocks are only
+        charged as the read reaches them (an early ``LIMIT`` or
+        cancellation stops paying for blocks it never needed), and the
+        deadline is checked every ``CANCEL_CHECK_ROWS`` entries read —
+        a cancelled query aborts mid-merge instead of after
+        materializing the region.
+        """
+        if not runs:
+            return iter(())
         server = self.server if replica is None else replica.server
-        newest = len(self.sstables)
-        streams = [self._ranked_sstable_stream(sstable, newest - i,
-                                               lo, hi, cache, server)
-                   for i, sstable in enumerate(self.sstables)]
-        streams.append(self._ranked_memstore_stream(lo, hi, memstore))
+        # Streams yield (key, rank, value): merge order is (key, rank),
+        # so for equal keys the newest version comes first and later
+        # (older) versions are skipped.  Ranks are unique per stream, so
+        # tuple comparison never reaches the values.
+        streams = [
+            self._ranked(rank, self._entries(source, i, j, cache, server))
+            for rank, source, i, j in runs]
+        return self._live(streams[0] if len(streams) == 1
+                          else heapq.merge(*streams), ctx)
+
+    def _live(self, ranked, ctx):
         previous: bytes | None = None
         processed = 0
-        for key, _rank, value in heapq.merge(*streams):
+        for key, _rank, value in ranked:
             processed += 1
             if ctx is not None and \
                     processed % self.CANCEL_CHECK_ROWS == 0:
@@ -275,33 +332,22 @@ class Region:
             if value is not None:  # tombstones yield nothing
                 yield key, value
 
-    def scan_batches(self, start: bytes, stop: bytes | None,
-                     cache: BlockCache | None, ctx=None, replica=None,
-                     batch_rows: int | None = None):
-        """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
+    def _entries(self, source, i: int, j: int, cache: BlockCache | None,
+                 server: int):
+        if isinstance(source, SSTable):
+            return source.read(i, j, cache, server)
+        return self._memstore_entries(source, i, j)
 
-        Same streaming merge, same lazy block charging, same in-merge
-        deadline checks — the entries are just handed to the consumer a
-        batch at a time so it can amortize per-row work (decode,
-        accounting) across the batch.
-        """
-        from repro.kvstore.scan import DEFAULT_BATCH_ROWS, chunk_pairs
-        yield from chunk_pairs(
-            self.scan(start, stop, cache, ctx, replica=replica),
-            batch_rows or DEFAULT_BATCH_ROWS)
-
-    def _ranked_sstable_stream(self, sstable: SSTable, rank: int,
-                               lo: bytes, hi: bytes | None,
-                               cache: BlockCache | None, server: int):
-        for key, value in sstable.scan(lo, hi, cache, server):
-            yield key, rank, value
-
-    def _ranked_memstore_stream(self, lo: bytes, hi: bytes | None,
-                                memstore: MemStore):
-        for key, value in memstore.scan(lo, hi):
+    def _memstore_entries(self, memstore: MemStore, i: int, j: int):
+        for key, value in memstore.entries(i, j):
             self._stats.record_memstore_read(
                 len(key) + (len(value) if value is not None else 0))
-            yield key, 0, value
+            yield key, value
+
+    @staticmethod
+    def _ranked(rank: int, entries):
+        for key, value in entries:
+            yield key, rank, value
 
     # -- sizing --------------------------------------------------------------
     @property

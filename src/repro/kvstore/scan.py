@@ -48,16 +48,43 @@ class ScanSpec:
     that many live entries.  When ``end_exclusive`` is set the range is
     ``[start, end)`` instead, which lets prefix scans use an exact
     successor-of-prefix upper bound.
+
+    ``ranges`` (built by :meth:`multi`) replaces ``start``/``end`` with
+    a list of half-open ``(start, stop)`` ranges in ascending key order
+    that do not overlap — HBase's ``MultiRowRangeFilter``.  The store
+    serves them all in one pass.
     """
 
     start: bytes = b""
     end: bytes | None = None
     limit: int | None = None
     end_exclusive: bool = False
+    ranges: tuple[tuple[bytes, bytes | None], ...] | None = None
 
     @classmethod
     def full(cls) -> "ScanSpec":
         return cls()
+
+    @classmethod
+    def multi(cls, ranges, limit: int | None = None) -> "ScanSpec":
+        """Scan several half-open ``(start, stop)`` ranges in one pass.
+
+        ``stop=None`` is unbounded above.  Non-empty ranges must be in
+        ascending key order and must not overlap (adjacent is fine);
+        empty ones (``stop <= start``) may sit anywhere and return
+        nothing.
+        """
+        ranges = tuple(ranges)
+        previous: bytes | None = b""
+        for start, stop in ranges:
+            if stop is not None and stop <= start:
+                continue
+            if previous is None or start < previous:
+                raise ValueError(
+                    f"scan ranges overlap or are out of order at "
+                    f"{start!r}")
+            previous = stop
+        return cls(limit=limit, ranges=ranges)
 
     @classmethod
     def prefix(cls, prefix: bytes) -> "ScanSpec":
@@ -75,3 +102,9 @@ class ScanSpec:
         if self.end is None:
             return None
         return self.end if self.end_exclusive else self.end + b"\x00"
+
+    def spans(self) -> tuple[tuple[bytes, bytes | None], ...]:
+        """Every half-open ``(start, stop)`` range this spec covers."""
+        if self.ranges is not None:
+            return self.ranges
+        return ((self.start, self.stop),)

@@ -29,7 +29,8 @@ class SSTable:
                  block_bytes: int = DEFAULT_BLOCK_BYTES,
                  charge_write: bool = True):
         self.sstable_id = next(_SSTABLE_IDS)
-        self._keys = [k for k, _ in entries]
+        #: The run's keys, sorted.
+        self.keys = [k for k, _ in entries]
         self._values = [v for _, v in entries]
         self._stats = stats
         self._block_bytes = block_bytes
@@ -44,7 +45,7 @@ class SSTable:
     def _build_blocks(self) -> None:
         current = 0
         start = 0
-        for i, (key, value) in enumerate(zip(self._keys, self._values)):
+        for i, (key, value) in enumerate(zip(self.keys, self._values)):
             entry = len(key) + (len(value) if value is not None else 0)
             if current and current + entry > self._block_bytes:
                 self._block_starts.append(start)
@@ -57,7 +58,7 @@ class SSTable:
             self._block_sizes.append(current)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     @property
     def num_blocks(self) -> int:
@@ -65,11 +66,11 @@ class SSTable:
 
     @property
     def first_key(self) -> bytes | None:
-        return self._keys[0] if self._keys else None
+        return self.keys[0] if self.keys else None
 
     @property
     def last_key(self) -> bytes | None:
-        return self._keys[-1] if self._keys else None
+        return self.keys[-1] if self.keys else None
 
     def _block_of(self, entry_index: int) -> int:
         return bisect_right(self._block_starts, entry_index) - 1
@@ -85,40 +86,43 @@ class SSTable:
         if cache is not None:
             cache.admit(key, size)
 
-    def scan(self, start: bytes, stop: bytes | None,
-             cache: BlockCache | None = None, server: int = 0):
-        """Yield entries with start <= key < stop, charging touched blocks;
-        ``stop=None`` is unbounded above.
+    def read(self, i: int, j: int, cache: BlockCache | None = None,
+             server: int = 0):
+        """Yield entries ``i`` to ``j - 1``, charging touched blocks.
 
-        The scan proceeds block-at-a-time: each block is charged once as
-        the scan reaches it, then its entries stream out of a plain
+        The read proceeds block-at-a-time: each block is charged once as
+        the read reaches it, then its entries stream out of a plain
         index range — no per-entry block lookup.  Charging stays lazy,
         so an early ``LIMIT`` or a cancelled consumer never pays for
         blocks the merge did not reach.
         """
-        keys = self._keys
+        keys = self.keys
         values = self._values
-        lo = bisect_left(keys, start)
-        hi = len(keys) if stop is None else bisect_left(keys, stop)
-        if lo >= hi:
-            return
         starts = self._block_starts
-        block = self._block_of(lo)
-        i = lo
-        while i < hi:
+        block = self._block_of(i)
+        while i < j:
             block_end = starts[block + 1] if block + 1 < len(starts) \
                 else len(keys)
             self._charge_block(block, cache, server)
-            for j in range(i, min(hi, block_end)):
-                yield keys[j], values[j]
+            for n in range(i, min(j, block_end)):
+                yield keys[n], values[n]
             i = block_end
             block += 1
+
+    def scan(self, start: bytes, stop: bytes | None,
+             cache: BlockCache | None = None, server: int = 0):
+        """Yield entries with start <= key < stop, charging touched blocks;
+        ``stop=None`` is unbounded above."""
+        lo = bisect_left(self.keys, start)
+        hi = len(self.keys) if stop is None \
+            else bisect_left(self.keys, stop, lo)
+        return self.read(lo, hi, cache, server)
 
     def get(self, key: bytes, cache: BlockCache | None = None,
             server: int = 0) -> tuple[bool, bytes | None]:
         """Point lookup; charges the containing block on access."""
-        i = bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
+        i = bisect_left(self.keys, key)
+        if i < len(self.keys) and self.keys[i] == key:
             self._charge_block(self._block_of(i), cache, server)
             return True, self._values[i]
         return False, None
@@ -126,4 +130,4 @@ class SSTable:
     def entries(self):
         """All entries in key order without I/O charges (compaction path
         charges reads explicitly via :meth:`total_bytes`)."""
-        return zip(self._keys, self._values)
+        return zip(self.keys, self._values)

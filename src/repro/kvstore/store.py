@@ -116,9 +116,6 @@ class KVTable:
         index = bisect_right(self._region_starts, key) - 1
         return self._regions[index]
 
-    def _regions_overlapping(self, start: bytes, stop: bytes) -> list[Region]:
-        return [r for r in self._regions if r.overlaps(start, stop)]
-
     def regions(self) -> list[Region]:
         return list(self._regions)
 
@@ -162,24 +159,19 @@ class KVTable:
                           replica=replica)
 
     def scan(self, spec: ScanSpec, ctx=None):
-        """Yield live ``(key, value)`` pairs across regions, key-sorted.
+        """Yield live ``(key, value)`` pairs of ``spec``'s ranges, key-sorted.
 
-        ``ctx`` (a :class:`repro.resilience.RequestContext`) makes the
-        scan deadline-aware — the remaining budget is checked before
-        each region and periodically within one — and enables graceful
-        degradation: in partial-results mode an unavailable (or
-        gray-failing) region is recorded in the context's skipped-region
-        report and the scan continues over the live regions instead of
-        failing all-or-nothing.
+        Every range of a multi-range spec is served in one pass (see
+        :meth:`_pass`).  ``ctx`` (a :class:`repro.resilience.
+        RequestContext`) makes the scan deadline-aware — the remaining
+        budget is checked before each region and periodically within
+        one — and enables graceful degradation: in partial-results mode
+        an unavailable (or gray-failing) region is recorded in the
+        context's skipped-region report and the scan continues over the
+        live regions instead of failing all-or-nothing.
         """
-        self._store.tick_faults("scan")
-        self._stats.record_scan()
-        if self.salt_buckets:
-            stream = self._scan_salted(spec, ctx)
-        else:
-            stream = self._scan_span(spec.start, spec.stop, ctx)
         remaining = spec.limit
-        for key, value in stream:
+        for key, value in self._pass(spec.spans(), ctx):
             yield key, value
             if remaining is not None:
                 remaining -= 1
@@ -190,19 +182,17 @@ class KVTable:
                      batch_rows: int | None = None):
         """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
 
-        Identical routing, deadline, partial-results, and accounting
-        behavior; entries arrive a batch at a time so consumers (the
-        table layer's columnar decode) amortize per-row work.  Batches
-        never span regions, so per-region span accounting stays exact.
+        The same pass, chunked: identical routing, deadline,
+        partial-results, and accounting behavior; entries arrive a batch
+        at a time so consumers (the table layer's columnar decode)
+        amortize per-row work.  On an unsalted table a batch never spans
+        two region visits.
         """
-        self._store.tick_faults("scan")
-        self._stats.record_scan()
         batch_rows = batch_rows or DEFAULT_BATCH_ROWS
         if self.salt_buckets:
-            stream = chunk_pairs(self._scan_salted(spec, ctx), batch_rows)
+            stream = chunk_pairs(self._pass(spec.spans(), ctx), batch_rows)
         else:
-            stream = self._scan_span_batches(spec.start, spec.stop, ctx,
-                                             batch_rows)
+            stream = self._pass(spec.spans(), ctx, batch_rows)
         remaining = spec.limit
         for batch in stream:
             if remaining is not None and len(batch) >= remaining:
@@ -212,8 +202,40 @@ class KVTable:
                 remaining -= len(batch)
             yield batch
 
-    def _scan_salted(self, spec: ScanSpec, ctx=None):
-        """Fan the logical range out over every salt bucket and merge.
+    def _pass(self, spans, ctx=None, batch_rows: int | None = None):
+        """One pass over ascending, non-overlapping half-open ranges.
+
+        Each source of each region is searched with a bisect whose lower
+        bound only moves forward across ranges, and a range with no key
+        in a region builds no iterator (:meth:`Region.runs` and its
+        cursors).  Accounting
+        stays per range — one ``scans_started`` and one fault tick per
+        range, one deadline check, availability check and region read
+        per (range, region) visit — so I/O counters, fault schedules
+        and simulated costs match one scan per range.  Region reads are
+        recorded once per region when the pass ends.
+        """
+        reads: dict = {}
+        try:
+            if self.salt_buckets:
+                # Ranges ascend within each bucket, not across buckets
+                # sharing a region: each bucket keeps its own cursors.
+                cursors = [{} for _ in range(self.salt_buckets)]
+                for start, stop in spans:
+                    self._store.tick_faults("scan")
+                    self._stats.record_scan()
+                    yield from self._scan_salted(start, stop, ctx,
+                                                 cursors, reads)
+            else:
+                yield from self._scan_spans(spans, ctx, {}, reads,
+                                            batch_rows)
+        finally:
+            for region, visits in reads.items():
+                region.record_read(visits)
+
+    def _scan_salted(self, start: bytes, stop: bytes | None, ctx,
+                     cursors: list[dict], reads: dict):
+        """Fan one logical range out over every salt bucket and merge.
 
         Each bucket holds a contiguous salted copy of the logical key
         space, so one per-bucket scan of ``salt + [start, stop)`` with
@@ -221,9 +243,8 @@ class KVTable:
         order; a ``heapq.merge`` over the buckets restores the global
         order.  A logical key lives in exactly one bucket, so merge
         comparisons never tie (and never reach the values).
+        ``cursors[bucket]`` carries each bucket's pass.
         """
-        stop = spec.stop
-
         def bucket_stream(bucket: int):
             prefix = bytes([bucket])
             if stop is None:
@@ -232,90 +253,75 @@ class KVTable:
                 bucket_stop = bytes([bucket + 1])
             else:
                 bucket_stop = prefix + stop
-            for key, value in self._scan_span(prefix + spec.start,
-                                              bucket_stop, ctx):
+            for key, value in self._scan_spans(
+                    ((prefix + start, bucket_stop),), ctx,
+                    cursors[bucket], reads, tick=False):
                 yield key[1:], value
 
         yield from heapq.merge(*(bucket_stream(b)
                                  for b in range(self.salt_buckets)))
 
-    def _scan_span(self, start: bytes, stop: bytes | None, ctx=None):
-        """Yield live ``(key, value)`` across regions of one key span."""
+    def _scan_spans(self, spans, ctx, cursors: dict, reads: dict,
+                    batch_rows: int | None = None, tick: bool = True):
+        """Visit the regions of each range in turn; yield pairs, or
+        batches of up to ``batch_rows`` pairs per visit."""
+        store = self._store
+        stats = self._stats
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
-        for region in self._regions_overlapping(start, stop):
-            if ctx is not None:
-                ctx.check(f"scan of {self.name!r}")
-            try:
-                replica = self._store.route_read(self.name, region,
-                                                 "scan", ctx)
-            except RegionUnavailableError as exc:
-                if ctx is not None and ctx.partial_results:
-                    ctx.record_skip(self.name, region.region_id,
-                                    region.server, str(exc))
+        where = f"scan of {self.name!r}"
+        for start, stop in spans:
+            if tick:
+                store.tick_faults("scan")
+                stats.record_scan()
+            regions = self._regions
+            index = bisect_right(self._region_starts, start) - 1
+            while index < len(regions):
+                region = regions[index]
+                index += 1
+                if stop is not None and region.start_key >= stop:
+                    break
+                if ctx is not None:
+                    ctx.check(where)
+                try:
+                    replica = store.route_read(self.name, region, "scan",
+                                               ctx)
+                except RegionUnavailableError as exc:
+                    if ctx is not None and ctx.partial_results:
+                        ctx.record_skip(self.name, region.region_id,
+                                        region.server, str(exc))
+                        continue
+                    raise
+                reads[region] = reads.get(region, 0) + 1
+                runs = region.runs(start, stop, replica, cursors)
+                if not runs:
+                    if profile is not None:
+                        self._record_region_span(profile, region, None, 0)
                     continue
-                raise
-            server = region.server if replica is None \
-                else replica.server
-            cache = self._store.cache_for(server)
-            region.record_read()
-            before = self._stats.snapshot() if profile is not None \
-                else None
-            region_rows = 0
-            try:
-                for key, value in region.scan(start, stop, cache, ctx,
-                                              replica=replica):
-                    self._stats.record_result(len(key) + len(value))
-                    region_rows += 1
-                    yield key, value
-            finally:
-                if profile is not None:
-                    self._record_region_span(profile, region, before,
-                                             region_rows)
-
-    def _scan_span_batches(self, start: bytes, stop: bytes | None,
-                           ctx=None,
-                           batch_rows: int = DEFAULT_BATCH_ROWS):
-        """Batched :meth:`_scan_span`: lists of pairs, region by region.
-
-        Result-byte accounting is summed once per batch instead of once
-        per row — the totals are identical, the bookkeeping is not on
-        the per-record hot path anymore.
-        """
-        profile = getattr(ctx, "profile", None) if ctx is not None \
-            else None
-        for region in self._regions_overlapping(start, stop):
-            if ctx is not None:
-                ctx.check(f"scan of {self.name!r}")
-            try:
-                replica = self._store.route_read(self.name, region,
-                                                 "scan", ctx)
-            except RegionUnavailableError as exc:
-                if ctx is not None and ctx.partial_results:
-                    ctx.record_skip(self.name, region.region_id,
-                                    region.server, str(exc))
-                    continue
-                raise
-            server = region.server if replica is None \
-                else replica.server
-            cache = self._store.cache_for(server)
-            region.record_read()
-            before = self._stats.snapshot() if profile is not None \
-                else None
-            region_rows = 0
-            try:
-                for batch in region.scan_batches(start, stop, cache, ctx,
-                                                 replica=replica,
-                                                 batch_rows=batch_rows):
-                    self._stats.record_result(
-                        sum(len(key) + len(value)
-                            for key, value in batch))
-                    region_rows += len(batch)
-                    yield batch
-            finally:
-                if profile is not None:
-                    self._record_region_span(profile, region, before,
-                                             region_rows)
+                server = region.server if replica is None \
+                    else replica.server
+                rows = region.read(runs, store.cache_for(server), ctx,
+                                   replica)
+                before = stats.read_mark() if profile is not None \
+                    else None
+                region_rows = 0
+                try:
+                    if batch_rows is None:
+                        for key, value in rows:
+                            stats.record_result(len(key) + len(value))
+                            region_rows += 1
+                            yield key, value
+                    else:
+                        for batch in chunk_pairs(rows, batch_rows):
+                            stats.record_result(
+                                sum(len(key) + len(value)
+                                    for key, value in batch))
+                            region_rows += len(batch)
+                            yield batch
+                finally:
+                    if profile is not None:
+                        self._record_region_span(profile, region, before,
+                                                 region_rows)
 
     def _record_region_span(self, profile, region, before,
                             region_rows: int) -> None:
@@ -324,8 +330,9 @@ class KVTable:
         An index query scans many key ranges, each visiting the same
         regions; one span per (table, region) under the current operator
         keeps the trace readable — counts accumulate across ranges.
+        ``before`` is the :meth:`IOStats.read_mark` taken when the visit
+        began, ``None`` for a visit that read nothing.
         """
-        delta = self._stats.snapshot().delta(before)
         span = None
         for child in profile.current.children:
             if child.kind == "region_scan" and \
@@ -341,17 +348,20 @@ class KVTable:
                 region=region.region_id, server=region.server,
                 rows=0, blocks_read=0, cache_hits=0, disk_bytes_read=0,
                 ranges=0)
-        span.attrs["rows"] += region_rows
-        span.attrs["blocks_read"] += delta.blocks_read
-        span.attrs["cache_hits"] += delta.cache_hits
-        span.attrs["disk_bytes_read"] += delta.disk_bytes_read
         span.attrs["ranges"] += 1
+        if before is None:
+            return
+        blocks, hits, disk, memory = (
+            now - then for now, then in zip(self._stats.read_mark(),
+                                            before))
+        span.attrs["rows"] += region_rows
+        span.attrs["blocks_read"] += blocks
+        span.attrs["cache_hits"] += hits
+        span.attrs["disk_bytes_read"] += disk
         model = self._store.cost_model
         if model is not None:
-            span.sim_ms += (
-                model.disk_read_ms(delta.disk_bytes_read)
-                + model.memory_scan_ms(delta.cache_bytes_read
-                                       + delta.memstore_bytes_read))
+            span.sim_ms += (model.disk_read_ms(disk)
+                            + model.memory_scan_ms(memory))
 
     def flush(self) -> None:
         """Flush every region's memstore (used before size measurements)."""

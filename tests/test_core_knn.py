@@ -58,6 +58,30 @@ class TestKNN:
         assert {r["fid"] for r in result.rows} == \
             set(brute_force(poi_rows, 116.25, 39.9, 3))
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_k_around_row_count_matches_brute_force(self, extra):
+        # k = n - 1 expands cells; k >= n answers with one full scan.
+        # The rows sit in a 5 km x 3 km patch so the expansion is short.
+        from repro import JustEngine, Schema
+        from repro.geometry import Point
+        from conftest import POI_SCHEMA_FIELDS
+        rng = random.Random(5)
+        rows = [dict(row, geom=Point(116.2 + rng.random() * 0.05,
+                                     39.9 + rng.random() * 0.03))
+                for row in make_poi_rows(120, seed=5)]
+        engine = JustEngine()
+        engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
+        engine.insert("poi", rows)
+        n = len(rows)
+        k = 10 * n if extra is None else n + extra
+        lng, lat = 116.21, 39.93
+        result = knn_query(engine.table("poi"), lng, lat, k)
+        assert {r["fid"] for r in result.rows} == \
+            set(brute_force(rows, lng, lat, k))
+        assert result.distances == pytest.approx(sorted(
+            ((r["geom"].lng - lng) ** 2 + (r["geom"].lat - lat) ** 2) ** 0.5
+            for r in rows)[:k])
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000), k=st.integers(1, 30))
     def test_property_matches_brute_force(self, poi_engine_factory,

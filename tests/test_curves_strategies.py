@@ -22,6 +22,7 @@ from repro.curves import (
 from repro.curves.strategies import shard_of
 from repro.errors import IndexError_
 from repro.geometry import Envelope, LineString, Point
+from repro.kvstore import ScanSpec
 
 
 def point_record(fid, lng, lat, t=None):
@@ -154,6 +155,59 @@ class TestRecall:
         query = STQuery(Envelope(116.0, 39.8, 116.3, 40.0),
                         87000.0, 95000.0)  # only day 1
         assert covered_by(strategy, record, query)
+
+
+def assert_ascending_and_disjoint(ranges):
+    """What a one-pass multi-range store scan requires of its ranges."""
+    for key_range in ranges:
+        assert key_range.start <= key_range.end
+    for left, right in zip(ranges, ranges[1:]):
+        # Inclusive ends: the next range starts past every key <= end.
+        assert left.end + b"\x00" <= right.start
+    ScanSpec.multi((r.start, r.end + b"\x00") for r in ranges)
+
+
+class TestRangesAreOnePassReady:
+    """Every strategy's ranges can be served by one store pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           name=st.sampled_from(["z2", "z2t", "z3", "xz2", "xz2t", "xz3",
+                                 "z2t:week", "xz3:month"]),
+           max_ranges=st.sampled_from([1, 8, 64, 256]))
+    def test_strategy_ranges_ascending_and_disjoint(self, seed, name,
+                                                    max_ranges):
+        rng = random.Random(seed)
+        strategy = strategy_from_name(name, num_shards=rng.randint(1, 5),
+                                      max_ranges=max_ranges)
+        lng = 116.0 + rng.random() * 0.5
+        lat = 39.7 + rng.random() * 0.4
+        size = 10 ** rng.uniform(-3.5, 0)
+        t_min = rng.random() * 86400.0 * 40
+        query = STQuery(Envelope(lng, lat, lng + size, lat + size),
+                        t_min, t_min + rng.random() * 86400.0 * 9)
+        assert_ascending_and_disjoint(strategy.ranges(query))
+
+    @settings(max_examples=40, deadline=None)
+    @given(low=st.one_of(st.integers(-1000, 1000),
+                         st.text("abcz", max_size=4)),
+           high=st.one_of(st.integers(-1000, 1000),
+                          st.text("abcz", max_size=4)),
+           shards=st.integers(1, 6))
+    def test_attribute_ranges_ascending_and_disjoint(self, low, high,
+                                                     shards):
+        index = AttributeStrategy("name", num_shards=shards)
+        assert_ascending_and_disjoint(index.ranges_for_value(low))
+        lo_key = index.encode_value(low)
+        hi_key = index.encode_value(high)
+        if lo_key <= hi_key:
+            assert_ascending_and_disjoint(
+                index.ranges_for_between(low, high))
+        else:
+            # An inverted BETWEEN yields empty ranges, which a
+            # multi-range scan accepts anywhere.
+            ScanSpec.multi((r.start, r.end + b"\x00")
+                           for r in index.ranges_for_between(low, high))
 
 
 class TestZ2TRangeEfficiency:

@@ -108,3 +108,90 @@ class TestZ3Ranges:
         ranges = z3_ranges(10, 10, 0, 11, 11, top, bits=6,
                            max_ranges=10_000)
         assert len(ranges) > 8
+
+
+# -- the integer 2-D walk against the generic decomposition ------------------
+
+def generic_decompose(bits, q_lo, q_hi, max_ranges, max_recurse):
+    """The generic n-dimensional walk the integer 2-D walk replaced,
+    kept verbatim as its oracle (tuples, per-cell interleaving)."""
+    from collections import deque
+    from itertools import product
+
+    from repro.curves.zranges import _common_prefix_level
+
+    dims = len(q_lo)
+    depth_limit = min(bits,
+                      _common_prefix_level(bits, q_lo, q_hi) + max_recurse)
+    interleave = {2: lambda c: interleave2(c[0], c[1]),
+                  3: lambda c: interleave3(c[0], c[1], c[2])}[dims]
+    child_offsets = list(product((0, 1), repeat=dims))
+    ranges = []
+    queue = deque()
+    queue.append((0, tuple(0 for _ in range(dims))))
+
+    def cell_range(level, coords):
+        shift = dims * (bits - level)
+        z_lo = interleave(coords) << shift
+        return z_lo, z_lo + (1 << shift) - 1
+
+    while queue:
+        level, coords = queue.popleft()
+        shift = bits - level
+        lo = tuple(c << shift for c in coords)
+        hi = tuple(((c + 1) << shift) - 1 for c in coords)
+        if any(lo[d] > q_hi[d] or hi[d] < q_lo[d] for d in range(dims)):
+            continue
+        contained = all(lo[d] >= q_lo[d] and hi[d] <= q_hi[d]
+                        for d in range(dims))
+        budget_left = max_ranges - len(ranges) - len(queue)
+        if contained or level >= depth_limit or budget_left <= 0:
+            ranges.append(cell_range(level, coords))
+            continue
+        for offsets in child_offsets:
+            child = tuple(c * 2 + o for c, o in zip(coords, offsets))
+            queue.append((level + 1, child))
+    return _merge_ranges(ranges)
+
+
+def random_box(rng, bits, dims):
+    """A box of random size and place; half of them small."""
+    top = (1 << bits) - 1
+    lo, hi = [], []
+    width = rng.randint(0, 1 << rng.randint(0, bits)) \
+        if rng.random() < 0.5 else None
+    for _ in range(dims):
+        a, b = sorted(rng.randint(0, top) for _ in range(2))
+        if width is not None:
+            b = min(top, a + width)
+        lo.append(a)
+        hi.append(b)
+    return tuple(lo), tuple(hi)
+
+
+class TestDecompositionOracle:
+    def test_2d_equals_generic_walk(self):
+        import random
+        rng = random.Random(20201)
+        for _ in range(600):
+            bits = rng.choice((3, 8, 16, 31))
+            (x_lo, y_lo), (x_hi, y_hi) = random_box(rng, bits, 2)
+            max_ranges = rng.randint(1, 1024)
+            max_recurse = rng.randint(0, 16)
+            assert z2_ranges(x_lo, y_lo, x_hi, y_hi, bits=bits,
+                             max_ranges=max_ranges,
+                             max_recurse=max_recurse) == \
+                generic_decompose(bits, (x_lo, y_lo), (x_hi, y_hi),
+                                  max_ranges, max_recurse)
+
+    def test_3d_equals_generic_walk(self):
+        import random
+        rng = random.Random(7)
+        for _ in range(150):
+            bits = rng.choice((3, 6, 21))
+            lo, hi = random_box(rng, bits, 3)
+            max_ranges = rng.randint(1, 1024)
+            max_recurse = rng.randint(0, 16)
+            assert z3_ranges(*lo, *hi, bits=bits, max_ranges=max_ranges,
+                             max_recurse=max_recurse) == \
+                generic_decompose(bits, lo, hi, max_ranges, max_recurse)

@@ -193,3 +193,47 @@ class TestClientRetry:
         result = client.execute_query("SELECT fid FROM t")
         assert [row["fid"] for row in result.rows] == [1]
         assert client.retries_attempted >= 1
+
+
+class TestGrayFaultsUnderMultiRangeScans:
+    """Index queries scan all their key ranges in one store pass, yet
+    tick faults once per range and route once per (range, region)
+    visit: the fault schedule, the skipped regions and the sim-ms are
+    the figures one store scan per key range produced."""
+
+    STATEMENTS = [
+        ("SELECT fid FROM poi WHERE geom WITHIN "
+         "st_makeMBR(116.1, 39.85, 116.3, 39.95)", 692.526787488, 57, 4),
+        ("SELECT fid FROM poi WHERE geom WITHIN "
+         "st_makeMBR(116.0, 39.8, 116.5, 40.1)", 1027.056097791, 379, 9),
+        ("SELECT fid FROM poi WHERE geom WITHIN "
+         "st_makeMBR(116.2, 39.9, 116.4, 40.0) "
+         "AND time BETWEEN 1500050000 AND 1500300000", 241.622361482, 35, 0),
+    ]
+
+    def test_schedule_and_sim_ms_match_one_scan_per_range(self):
+        from repro import JustEngine, Schema
+        from repro.faults.plan import IntermittentError, SlowServer
+        from repro.resilience import RequestContext
+
+        from conftest import POI_SCHEMA_FIELDS, make_poi_rows
+
+        engine = JustEngine(split_bytes=16 * 1024)
+        engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
+        engine.insert("poi", make_poi_rows(400, seed=3))
+        # The z2 index lives on servers 1 and 4: one slow, one flaky.
+        # The kill never fires; it makes the injector count scan ticks.
+        injector = FaultInjector(FaultPlan(
+            [KillServer(3, after_ops=10 ** 9),
+             SlowServer(1, latency_ms=3.0, jitter_ms=2.0),
+             IntermittentError(4, probability=0.05)],
+            seed=7, ops=("scan",))).attach(engine.store)
+        for sql, sim_ms, rows, skipped in self.STATEMENTS:
+            result = engine.sql(sql, ctx=RequestContext(
+                partial_results=True))
+            assert (round(result.sim_ms, 9), len(list(result.rows)),
+                    len(result.skipped_regions)) == (sim_ms, rows, skipped)
+        assert injector.op_count == 864
+        assert injector.region_op_count == 865
+        assert injector.errors_injected == 13
+        assert round(injector.slow_ms_injected, 9) == 1249.709991233

@@ -281,3 +281,66 @@ class TestIOAccounting:
         cold_delta = store.stats.disk_bytes_read - base
         assert cached_delta == 0
         assert cold_delta > 0
+
+
+class TestMultiRangeScan:
+    """One pass over many ranges counts like one scan per range."""
+
+    SPANS = [(b"k010", b"k020"), (b"k020", b"k025"), (b"k100", b"k140"),
+             (b"k500", b"k501"), (b"k900", None)]
+
+    def loaded(self):
+        store = small_store(split_bytes=1 << 30)
+        table = store.create_table("t")
+        for i in range(1000):
+            table.put(f"k{i:03d}".encode(), b"v" * 20)
+            if i % 300 == 0:
+                table.flush()  # several runs plus a live memstore
+        list(table.scan(ScanSpec(b"k300", b"k400")))  # earlier traffic
+        store.events.advance(4000.0)  # let that traffic decay
+        return store, table
+
+    def test_region_reads_equal_single_range_scans(self, monkeypatch):
+        from repro.kvstore.region import Region
+        calls = []
+        record_read = Region.record_read
+        monkeypatch.setattr(Region, "record_read", lambda self, n=1: (
+            calls.append(n), record_read(self, n))[1])
+        store_a, multi = self.loaded()
+        store_b, single = self.loaded()
+        calls.clear()
+        got = list(multi.scan(ScanSpec.multi(self.SPANS)))
+        assert calls == [len(self.SPANS)]  # once per region per pass
+        expected = []
+        for start, stop in self.SPANS:
+            expected += single.scan(ScanSpec(start, stop,
+                                             end_exclusive=True))
+        assert got == expected
+        (region_a,), (region_b,) = multi.regions(), single.regions()
+        assert region_a.reads == region_b.reads
+        now = store_a.events.now_ms
+        assert region_a.read_rate.rate_per_s(now) == \
+            pytest.approx(region_b.read_rate.rate_per_s(now), rel=1e-12)
+        assert store_a.stats.snapshot() == store_b.stats.snapshot()
+
+    def test_limit_spans_ranges(self):
+        _store, table = self.loaded()
+        got = [k for k, _ in table.scan(ScanSpec.multi(self.SPANS,
+                                                       limit=12))]
+        assert got == [f"k{i:03d}".encode() for i in range(10, 22)]
+
+    def test_no_ranges_scan_nothing(self):
+        store, table = self.loaded()
+        before = store.stats.snapshot()
+        assert list(table.scan(ScanSpec.multi([]))) == []
+        assert store.stats.snapshot() == before
+
+    def test_overlapping_ranges_are_refused(self):
+        with pytest.raises(ValueError):
+            ScanSpec.multi([(b"a", b"c"), (b"b", b"d")])
+        with pytest.raises(ValueError):
+            ScanSpec.multi([(b"c", b"d"), (b"a", b"b")])
+        with pytest.raises(ValueError):
+            ScanSpec.multi([(b"a", None), (b"b", b"c")])
+        # Empty ranges may sit anywhere; adjacent ranges are fine.
+        ScanSpec.multi([(b"a", b"b"), (b"z", b"a"), (b"b", b"c")])
