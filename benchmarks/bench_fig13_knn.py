@@ -60,6 +60,10 @@ def test_fig13a_data_size_order(data, report, benchmark):
     # area expansions per query; the ordering still holds.
     assert table.value("JUST", 100) < table.value("GeoSpark", 100)
     assert table.value("SpatialHadoop", 100) > table.value("JUST", 100)
+    # The paper's "JUST far below LocationSpark", at every data size.
+    for percent in FRACTIONS:
+        assert table.value("JUST", percent) < \
+            table.value("LocationSpark", percent)
 
 
 def test_fig13b_data_size_traj(data, report, benchmark):

@@ -118,8 +118,9 @@ PAPER = {
     "Fig 13a": {
         "paper": "k-NN (Order) vs data size: grows with data; JUST far "
                  "below GeoSpark/LocationSpark, competitive with Simba.",
-        "shape": "JUST < GeoSpark; SpatialHadoop > 5x JUST (expanding "
-                 "MapReduce rounds).",
+        "shape": "JUST < GeoSpark and JUST < LocationSpark at every "
+                 "data size; SpatialHadoop > JUST (expanding MapReduce "
+                 "rounds).",
     },
     "Fig 13b": {
         "paper": "k-NN (Traj): Simba OOM at 40%; JUST slightly beats "

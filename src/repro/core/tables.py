@@ -291,10 +291,15 @@ class CommonTable:
                 job.charge_store_scan(delta, num_ranges=len(ranges))
                 job.charge_cpu_batch(scanned, batches)
 
-    def query(self, query: STQuery, predicate: str = "intersects",
+    def query(self, query: STQuery, predicate: str | None = "intersects",
               job: SimJob | None = None,
               strategy_name: str | None = None, ctx=None) -> list[dict]:
-        """Index-served range query with exact post-filtering."""
+        """Index-served range query with exact post-filtering.
+
+        ``predicate=None`` skips the post-filter: every row the index's
+        key ranges cover is returned (kNN ranks its candidates by true
+        distance, so over-coverage cannot change its answer).
+        """
         from repro.core.query import choose_strategy  # avoid import cycle
         if strategy_name is None:
             strategy_name, query = choose_strategy(self, query)
@@ -302,7 +307,7 @@ class CommonTable:
         ranges = strategy.ranges(query)
         out = []
         for row in self.scan_ranges(strategy_name, ranges, job, ctx):
-            if self._matches(row, query, predicate):
+            if predicate is None or self._matches(row, query, predicate):
                 out.append(self.decorate_row(row))
         return out
 
